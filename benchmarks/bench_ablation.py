@@ -1,4 +1,4 @@
-"""E12 — Ablations of the KNW design choices called out in DESIGN.md.
+"""E12 — Ablations of the KNW design choices (see docs/architecture.md).
 
 Three ablations, each isolating one design decision of the paper:
 

@@ -1,11 +1,11 @@
 """Shared helpers for the benchmark harness.
 
-Every benchmark corresponds to an experiment id in DESIGN.md (E1-E12) and
-regenerates a table or guarantee the paper reports.  Macro-benchmarks (the
-table-producing ones) run their workload once via ``benchmark.pedantic`` and
-print the resulting table so it lands in ``bench_output.txt``; the
-micro-benchmarks (per-update / per-report timing) use pytest-benchmark's
-normal repeated timing.
+Every benchmark corresponds to an experiment id (E1-E12, see "Hash-family
+stand-ins" in docs/architecture.md) and regenerates a table or guarantee
+the paper reports.  Macro-benchmarks (the table-producing ones) run their
+workload once via ``benchmark.pedantic`` and print the resulting table so
+it lands in ``bench_output.txt``; the micro-benchmarks (per-update /
+per-report timing) use pytest-benchmark's normal repeated timing.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import time
 
 import pytest
 
-#: Universe size shared by the benchmarks (2^20, as in DESIGN.md's E1 row).
+#: Universe size shared by the benchmarks (2^20, the E1 space table's).
 BENCH_UNIVERSE = 1 << 20
 
 #: Moderate universe for the heavier sweeps.

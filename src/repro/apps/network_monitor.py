@@ -180,17 +180,8 @@ class FlowCardinalityMonitor(SerializableState):
                 universe_size, eps=eps, seed=seed + 4
             )
         if mergeable:
-            # The polynomial rough-estimator family keeps the sketch fully
-            # seed-determined (shard_deterministic), so per-link sharded
-            # windows are bit-identical to observing the union serially
-            # and the window rollups merge exactly.
             def sketch(sketch_seed):
-                return KNWDistinctCounter(
-                    universe_size,
-                    eps=eps,
-                    seed=sketch_seed,
-                    rough_uniform_family=False,
-                )
+                return KNWDistinctCounter(universe_size, eps=eps, seed=sketch_seed)
         else:
             def sketch(sketch_seed):
                 return FastKNWDistinctCounter(

@@ -131,12 +131,7 @@ class F0HashBundle:
         the batch equivalent of the scalar one-entry memo below.
         """
         keys = as_key_array(items, self.universe_size)
-        spread = self.h2.hash_batch_validated(keys)
-        # SiegelHash (the Theorem 9 bundle) has no pre-validated form; its
-        # memoised walk validates internally.
-        if hasattr(self.h3, "hash_batch_validated"):
-            return self.h3.hash_batch_validated(spread)
-        return self.h3.hash_batch(spread)
+        return self.h3.hash_batch_validated(self.h2.hash_batch_validated(keys))
 
     def main_bin_batch(self, items, extended_bins=None):
         """Return the Figure 3 counter indices for a whole chunk.

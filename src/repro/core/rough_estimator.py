@@ -183,10 +183,6 @@ class RoughEstimator(SerializableState):
         ]
         self._threshold = OCCUPANCY_THRESHOLD_RHO * self.counters_per_copy
         self._monotone_floor = -1.0
-        # The uniform (Lemma 5) family materialises hash values lazily in
-        # first-occurrence order, so sharded and sequential ingestion draw
-        # different functions; the polynomial family is seed-determined.
-        self.shard_deterministic = not use_uniform_family
 
     def update(self, item: int) -> None:
         """Process one stream item."""
@@ -200,31 +196,15 @@ class RoughEstimator(SerializableState):
     def update_batch(self, items) -> None:
         """Process a chunk of items through all three copies, vectorized.
 
-        Equivalent to the :meth:`update` loop.  With the polynomial ``h3``
-        (stateless) each copy reduces the whole chunk independently.  With
-        the Lemma 5 uniform family the three copies' ``h3`` draw lazily
-        from one *shared* RNG, so the batch path evaluates ``h3`` in the
-        scalar interleaving — item by item across the copies — to consume
-        the RNG in the identical order, while ``h1``/``h2`` hashing, level
-        extraction and the counter maxima stay vectorized.
+        Equivalent to the :meth:`update` loop: every ``h3`` is a pure
+        function of the seed, so each copy reduces the whole chunk
+        independently.
         """
         keys = as_key_array(items, self.universe_size)
         if keys.size == 0:
             return
-        if not isinstance(self._copies[0].h3, LazyUniformHash):
-            for copy in self._copies:
-                copy.update_batch(keys)
-            return
-        spread = [copy.h2.hash_batch_validated(keys).tolist() for copy in self._copies]
-        draws = [copy.h3.draw_value for copy in self._copies]
-        indices = [np.empty(len(keys), dtype=np.int64) for _ in self._copies]
-        copy_order = range(len(self._copies))
-        for position in range(len(keys)):
-            for j in copy_order:
-                indices[j][position] = draws[j](spread[j][position])
-        for j, copy in enumerate(self._copies):
-            levels = lsb_batch(copy.h1.hash_batch_validated(keys), zero_value=copy.level_limit)
-            copy.counters.maximize_many(indices[j], levels + np.int64(1))
+        for copy in self._copies:
+            copy.update_batch(keys)
 
     def estimate(self) -> float:
         """Return the current rough estimate (median of the three copies).

@@ -57,8 +57,8 @@ class SerializableState:
       the complete sketch state as a plain-value tree.  ``load`` expects
       an instance of the *same class* (construct it with any valid
       parameters, then load); all fields — including nested hash
-      families, packed bit buffers, and shared RNGs with their exact
-      aliasing structure — are replaced by the captured ones, so the
+      families and packed bit buffers, with their exact aliasing
+      structure — are replaced by the captured ones, so the
       restored sketch is bit-identical: equal ``state_dict()``, equal
       estimates, and equal behaviour under further ingestion.
     * :meth:`to_bytes` / :meth:`from_bytes` — the framed wire form of the
@@ -107,17 +107,6 @@ class CardinalityEstimator(SerializableState, abc.ABC):
     #: paper's Figure 1 and is surfaced in the comparison tables.
     requires_random_oracle: bool = False
 
-    #: Whether same-seed sketches fed disjoint shards and merged are
-    #: *bit-identical* to one sketch fed the concatenation.  True for
-    #: every estimator whose hash functions are fully determined by the
-    #: seed; set to False by configurations whose lazily materialised
-    #: hash families draw values in first-occurrence order (the draw
-    #: order then differs between sharded and sequential ingestion, so
-    #: merged estimates are merely approximation-equivalent).  The
-    #: sharded execution engine (:mod:`repro.parallel`) surfaces this
-    #: flag when callers ask which estimators shard exactly.
-    shard_deterministic: bool = True
-
     @abc.abstractmethod
     def update(self, item: int) -> None:
         """Process one stream item (an identifier in ``[0, n)``)."""
@@ -153,9 +142,9 @@ class CardinalityEstimator(SerializableState, abc.ABC):
           throughput optimisation.
         * **Order sensitivity** — items are logically applied in order.
           Most sketches are order-insensitive (their per-counter reduction
-          is a max/OR/bottom-k), but order-dependent tie-breaking (e.g.
-          lazily materialised hash families drawing values at first
-          occurrence) follows first-occurrence order within the batch.
+          is a max/OR/bottom-k), but order-dependent state (e.g. the
+          small-F0 exact buffer admitting identifiers up to its capacity)
+          follows first-occurrence order within the batch.
         * **Dtype** — ``items`` may be any integer sequence; vectorized
           overrides accept (and are fastest with) a NumPy integer array,
           converted once to ``uint64``.  Identifiers must lie in
@@ -238,15 +227,6 @@ class TurnstileEstimator(SerializableState, abc.ABC):
     #: Whether the estimator requires all frequencies to stay non-negative
     #: (true for Ganguly's algorithm, false for KNW's).
     requires_nonnegative_frequencies: bool = False
-
-    #: Whether same-seed sketches fed disjoint shards and merged are
-    #: *bit-identical* to one sketch fed the concatenation.  The library's
-    #: turnstile sketches are all *linear* (their counters are sums of
-    #: deltas modulo fixed primes) with eagerly drawn hash functions, so
-    #: — unlike the lazily-drawn F0 configurations — every mergeable L0
-    #: sketch shards exactly.  Mirrors
-    #: :attr:`CardinalityEstimator.shard_deterministic`.
-    shard_deterministic: bool = True
 
     @abc.abstractmethod
     def update(self, item: int, delta: int) -> None:

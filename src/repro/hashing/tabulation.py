@@ -5,8 +5,8 @@ random table entry per character.  It is only 3-wise independent, but it
 has much stronger concentration properties than its independence suggests
 (Patrascu--Thorup), evaluates in a constant number of table lookups, and is
 the natural "fast practical hash" to compare against the paper's
-theoretically clean families in the ablation benchmarks (experiment E12 of
-DESIGN.md).
+theoretically clean families in the ablation benchmarks (experiment E12,
+``benchmarks/bench_ablation.py``).
 
 It is *not* used inside the reference KNW implementation — the paper's
 correctness analysis is stated for the Carter--Wegman / Pagh--Pagh / Siegel

@@ -8,41 +8,30 @@ restricted to ``S`` with probability ``1 - O(1/z^c)``, can be stored in
 RoughEstimator (Lemma 5) uses this family so that its ``h3`` behaves like a
 truly random function on the at most ``2 K_RE`` surviving items.
 
-Building the actual Pagh--Pagh construction (two rounds of tabulation plus
-a displacement table) is possible but its heavy constants add nothing to
-the reproduction: what the correctness proofs consume is exactly the
-*distributional* guarantee above.  This module therefore provides
-:class:`LazyUniformHash`, which realises the guarantee directly:
-
-* values are drawn independently and uniformly from ``[v]`` the first time
-  a key is queried and memoised thereafter (so the function restricted to
-  the queried set *is* a uniformly random function on that set);
-* the structure enforces the paper's capacity ``z``: the memo table is
-  capped, and the declared space cost is the paper's ``O(z log v)`` bits
-  regardless of how few keys were actually seen;
-* an optional *failure injection* knob models the ``O(1/z^c)`` probability
-  with which the real family fails to be independent, so tests can exercise
-  failure handling.
-
-DESIGN.md records this substitution (paper construction -> behavioural
-stand-in) and why it preserves the relevant behaviour.
+What the correctness proofs consume is only that distributional
+guarantee, so :class:`LazyUniformHash` realises it with the library's one
+model of a truly random function: the seed-keyed splitmix64 oracle of
+:mod:`repro.hashing.random_oracle`.  The function is fixed by a 64-bit
+seed drawn at construction, so equal seeds give equal functions and
+sharded ingestion sees exactly the function sequential ingestion sees.
+Space is still charged at the paper's ``capacity * ceil(log2 v)`` bits.
+See "Hash-family stand-ins" in ``docs/architecture.md``.
 """
 
 from __future__ import annotations
 
 import random
-
-from .entropy import fresh_rng
-from typing import Dict, Optional
+from typing import Optional
 
 from ..exceptions import ParameterError
-from ..vectorize import as_key_array, np
+from .entropy import fresh_rng
+from .random_oracle import RandomOracle
 
 __all__ = ["LazyUniformHash"]
 
 
-class LazyUniformHash:
-    """A function that is uniformly random on the set of keys actually queried.
+class LazyUniformHash(RandomOracle):
+    """A seed-keyed random function with Theorem 6's space accounting.
 
     Attributes:
         universe_size: size of the key domain ``[0, u)``.
@@ -50,17 +39,10 @@ class LazyUniformHash:
         capacity: the ``z`` of Theorem 6 — the largest set on which the
             family promises full independence (and the size used for space
             accounting).
+        seed: the function's identity.
     """
 
-    __slots__ = (
-        "universe_size",
-        "range_size",
-        "capacity",
-        "_rng",
-        "_memo",
-        "_failed",
-        "failure_probability",
-    )
+    __slots__ = ("capacity",)
 
     def __init__(
         self,
@@ -68,7 +50,6 @@ class LazyUniformHash:
         range_size: int,
         capacity: int,
         rng: Optional[random.Random] = None,
-        failure_probability: float = 0.0,
     ) -> None:
         """Draw a random member of the family.
 
@@ -77,95 +58,23 @@ class LazyUniformHash:
             range_size: size of the output range; must be positive.
             capacity: maximum number of distinct keys for which full
                 independence is promised; must be positive.
-            rng: source of randomness (also used for lazily drawn values).
-            failure_probability: probability that this draw of the family
-                is "bad" (models the ``O(1/z^c)`` failure of Theorem 6).
-                When a draw is bad the function degrades to a fixed
-                constant function, which is the most adversarial
-                non-independent behaviour for occupancy statistics.
+            rng: source of the 64-bit seed.
         """
-        if universe_size <= 0:
-            raise ParameterError("universe_size must be positive")
-        if range_size <= 0:
-            raise ParameterError("range_size must be positive")
         if capacity <= 0:
             raise ParameterError("capacity must be positive")
-        if not 0.0 <= failure_probability < 1.0:
-            raise ParameterError("failure_probability must lie in [0, 1)")
-        self.universe_size = universe_size
-        self.range_size = range_size
+        super().__init__(universe_size, range_size, seed=fresh_rng(rng).getrandbits(64))
         self.capacity = capacity
-        self._rng = fresh_rng(rng)
-        self._memo: Dict[int, int] = {}
-        self.failure_probability = failure_probability
-        self._failed = self._rng.random() < failure_probability
 
-    def __call__(self, key: int) -> int:
-        """Evaluate the function on ``key``.
-
-        Values are independent uniform draws per distinct key (memoised).
-        Once more than ``capacity`` distinct keys have been queried the
-        guarantee of Theorem 6 no longer applies; evaluation still works
-        (the memo keeps growing) because the calling algorithms only rely
-        on independence for the first ``capacity`` keys, but
-        :meth:`overflowed` reports that the promise was exceeded.
-        """
-        if not 0 <= key < self.universe_size:
-            raise ParameterError(
-                "key %d outside universe [0, %d)" % (key, self.universe_size)
-            )
-        return self.draw_value(key)
+    # ``draw_value`` and ``hash_batch`` are defined on this class itself so
+    # per-class instrumentation (perfbench/tracing.py) can wrap them.
 
     def draw_value(self, key: int) -> int:
-        """Return the memoised value for a pre-validated key.
-
-        Drawing happens at first occurrence, consuming one value from the
-        (possibly shared) RNG — batch callers that must reproduce the
-        scalar draw *order* across several functions sharing one RNG (the
-        RoughEstimator's three copies) call this directly in stream order.
-        """
-        if self._failed:
-            return 0
-        value = self._memo.get(key)
-        if value is None:
-            value = self._rng.randrange(0, self.range_size)
-            self._memo[key] = value
-        return value
+        """Return the function's value on ``key`` (same as ``self(key)``)."""
+        return self(key)
 
     def hash_batch(self, keys):
-        """Evaluate the function on a whole array of keys.
-
-        The family is *lazily materialised*: unseen keys consume one RNG
-        draw each, in order.  Batch evaluation therefore walks the keys in
-        stream order (preserving the exact scalar draw sequence, so batch
-        and scalar ingestion build bit-identical functions) with the
-        per-item validation hoisted out of the loop.  The memo stays small
-        — the calling algorithms only feed this family the ``O(K_RE)``
-        surviving items — so the Python-level walk is not the hot path.
-
-        Args:
-            keys: integer sequence or ndarray with values in
-                ``[0, universe_size)``.
-
-        Returns:
-            An ``int64`` ndarray of values in ``[0, range_size)``.
-        """
-        keys = as_key_array(keys, self.universe_size)
-        if self._failed:
-            return np.zeros(keys.shape, dtype=np.int64)
-        draw = self.draw_value
-        out = np.empty(keys.shape, dtype=np.int64)
-        for position, key in enumerate(keys.tolist()):
-            out[position] = draw(key)
-        return out
-
-    def overflowed(self) -> bool:
-        """Return True when more than ``capacity`` distinct keys were queried."""
-        return len(self._memo) > self.capacity
-
-    def distinct_keys_seen(self) -> int:
-        """Return the number of distinct keys queried so far."""
-        return len(self._memo)
+        """Evaluate the function on a whole array of keys (see the base class)."""
+        return super().hash_batch(keys)
 
     def space_bits(self) -> int:
         """Return the paper-model space cost of storing this function.
@@ -173,7 +82,7 @@ class LazyUniformHash:
         Theorem 6 charges ``O(z log v)`` bits for a capacity-``z`` member of
         the family; we report exactly ``capacity * ceil(log2(range_size))``
         so that the space benchmarks account for what the real construction
-        would occupy, not for the Python memo dictionary.
+        would occupy.
         """
         value_bits = max((self.range_size - 1).bit_length(), 1)
         return self.capacity * value_bits

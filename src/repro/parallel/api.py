@@ -7,21 +7,17 @@ shard/worker/merge loops left; the engine owns sharded execution,
 pipelined handoff, shard retry, and the persistent pool for all five
 pipelines at once.
 
-Correctness contract (unchanged from the hand-rolled predecessors).  For
-every estimator that supports :meth:`merge
+Correctness contract.  For every estimator that supports :meth:`merge
 <repro.estimators.base.CardinalityEstimator.merge>`, shard-and-merge is
-*estimate-equivalent* to sequential ingestion; for estimators whose hash
-functions are fully seed-determined (``shard_deterministic`` on the
-estimator — everything except the lazily materialised Lemma 5 uniform
-family configurations) it is **bit-identical**: the merged sketch's
-state and estimate equal those of a single sketch fed the concatenated
-stream, for any shard count, any execution mode, and any handoff
-discipline.  The per-counter reductions are maxima, ORs, set unions, and
-modular counter sums — commutative and associative — which also makes
-the engine safe to use *mid-stream*: idempotent families clone the
-coordinator's state into every worker (re-merging it is a no-op), while
-additive families give the workers *cleared* clones so the prior state
-enters the sum exactly once.
+**bit-identical** to sequential ingestion (every hash function is fully
+seed-determined): the merged sketch's state and estimate equal those of
+a single sketch fed the concatenated stream, for any shard count, any
+execution mode, and any handoff discipline.  The per-counter reductions
+are maxima, ORs, set unions, and modular counter sums — commutative and
+associative — which also makes the engine safe to use *mid-stream*:
+idempotent families clone the coordinator's state into every worker
+(re-merging it is a no-op), while additive families give the workers
+*cleared* clones so the prior state enters the sum exactly once.
 """
 
 from __future__ import annotations
@@ -219,9 +215,8 @@ def parallel_merge_update_shards(
     coordinator's existing state must enter the sum exactly once)
     through the vectorized turnstile ``update_batch`` pipeline.  For
     every library L0 sketch the result is bit-identical to sequential
-    ingestion (linear sketches, eagerly drawn hashes — see
-    ``TurnstileEstimator.shard_deterministic``), including mid-stream
-    take-over of an already-started coordinator sketch.
+    ingestion (linear sketches, seed-determined hashes), including
+    mid-stream take-over of an already-started coordinator sketch.
     """
     plan = IngestPlan(
         axis="range",
@@ -533,7 +528,6 @@ def parallel_ingest_windowed_keyed(
 
 
 _MERGEABLE_CACHE: Optional[Dict[str, bool]] = None
-_DETERMINISTIC_CACHE: Dict[str, bool] = {}
 
 
 def _drop_capability_caches() -> None:
@@ -545,42 +539,24 @@ def _drop_capability_caches() -> None:
     """
     global _MERGEABLE_CACHE
     _MERGEABLE_CACHE = None
-    _DETERMINISTIC_CACHE.clear()
 
 
 os.register_at_fork(after_in_child=_drop_capability_caches)
 
 
-def mergeable_f0_names(shard_deterministic_only: bool = False) -> List[str]:
+def mergeable_f0_names() -> List[str]:
     """Return the registered F0 algorithms usable with sharded ingestion.
 
-    Args:
-        shard_deterministic_only: when True, keep only the algorithms
-            whose sharded ingest is *bit-identical* to sequential ingest
-            (see ``CardinalityEstimator.shard_deterministic``); the
-            remainder (currently the default ``knw`` configuration,
-            whose Lemma 5 rough-estimator family draws lazily) are
-            merge-*compatible* but only approximation-equivalent.
+    Every one of them shards *bit-identically*: sharded ingest equals
+    sequential ingest in every state word.
     """
     global _MERGEABLE_CACHE
     if _MERGEABLE_CACHE is None:
-        probes = {
-            name: make_f0_estimator(name, 1 << 12, 0.25, seed=0)
+        _MERGEABLE_CACHE = {
+            name: _supports_merge(make_f0_estimator(name, 1 << 12, 0.25, seed=0))
             for name in f0_algorithm_names()
         }
-        _MERGEABLE_CACHE = {
-            name: _supports_merge(probe) for name, probe in probes.items()
-        }
-        _DETERMINISTIC_CACHE.update(
-            {
-                name: bool(getattr(probe, "shard_deterministic", True))
-                for name, probe in probes.items()
-            }
-        )
-    names = [name for name, able in sorted(_MERGEABLE_CACHE.items()) if able]
-    if shard_deterministic_only:
-        names = [name for name in names if _DETERMINISTIC_CACHE[name]]
-    return names
+    return [name for name, able in sorted(_MERGEABLE_CACHE.items()) if able]
 
 
 _L0_MERGEABLE_CACHE: Optional[Dict[str, bool]] = None
@@ -589,10 +565,9 @@ _L0_MERGEABLE_CACHE: Optional[Dict[str, bool]] = None
 def mergeable_l0_names() -> List[str]:
     """Return the registered L0 algorithms usable with sharded ingestion.
 
-    Every mergeable L0 sketch in the library is linear with eagerly drawn
-    hash functions, so — unlike the F0 side — sharded ingest is always
-    *bit-identical* to sequential ingest (no ``shard_deterministic_only``
-    filter is needed; see ``TurnstileEstimator.shard_deterministic``).
+    Every mergeable L0 sketch in the library is linear with seed-determined
+    hash functions, so sharded ingest is *bit-identical* to sequential
+    ingest.
     """
     global _L0_MERGEABLE_CACHE
     if _L0_MERGEABLE_CACHE is None:

@@ -5,18 +5,16 @@ construction-time parameters, which is exactly what distributed F0
 estimation needs: a worker ingests its shard, ships the sketch to a
 coordinator, and the coordinator revives it and merge-reduces.  This
 module provides that transport for *every* estimator (and their internal
-components — hash families, bit structures, shared RNGs) without
-``pickle``:
+components — hash families, bit structures) without ``pickle``:
 
 * :func:`snapshot` — capture an object's complete state as a plain tree
   of Python values (``state_dict()`` on the estimator base classes).
   Nested library objects become explicit ``{"__object__": ...}`` nodes;
-  *shared* sub-objects (e.g. the one ``random.Random`` that the three
-  RoughEstimator copies draw their lazy hash values from, or the
-  ``F0HashBundle`` shared between the small-F0 and Figure 3 regimes) are
-  captured once and referenced thereafter, so reviving a snapshot
-  restores the exact aliasing structure — a requirement for
-  bit-identical *continued* ingestion, not just for frozen state.
+  *shared* sub-objects (e.g. the ``F0HashBundle`` shared between the
+  small-F0 and Figure 3 regimes) are captured once and referenced
+  thereafter, so reviving a snapshot restores the exact aliasing
+  structure — a requirement for bit-identical *continued* ingestion,
+  not just for frozen state.
 * :func:`restore` — load a snapshot back into an existing instance
   (``load_state_dict()``), torch-style: construct the estimator with the
   same parameters, then restore.
@@ -24,15 +22,15 @@ components — hash families, bit structures, shared RNGs) without
   (``to_bytes()`` / ``from_bytes()``): a magic header, a format version,
   and a compact tag-length-value encoding of the tree.  Unlike
   ``pickle``, decoding only ever instantiates classes from inside the
-  ``repro`` package (plus ``random.Random``), so a payload cannot name
-  arbitrary importable callables.
+  ``repro`` package, so a payload cannot name arbitrary importable
+  callables.
 
 The supported value set is deliberately closed: ``None``, ``bool``,
 ``int`` (arbitrary precision — the bit-packed counter buffers are
 multi-thousand-bit Python integers), ``float`` (bit-exact via IEEE-754
 encoding), ``str``, ``bytes``, ``bytearray``, ``list``, ``tuple``,
-``dict``, ``set``/``frozenset``, NumPy arrays and scalars,
-``random.Random``, and objects of classes defined inside ``repro``.
+``dict``, ``set``/``frozenset``, NumPy arrays and scalars, and objects
+of classes defined inside ``repro``.
 Anything else raises :class:`~repro.exceptions.SerializationError` at
 *encode* time, so a sketch that grows unsupported state fails loudly in
 its own round-trip test rather than corrupting a worker transport.
@@ -41,7 +39,6 @@ its own round-trip test rather than corrupting a worker transport.
 from __future__ import annotations
 
 import importlib
-import random
 import struct
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -65,8 +62,8 @@ FORMAT_MAGIC = b"RPRS"
 #: Version byte following the magic; bumped on incompatible changes.
 FORMAT_VERSION = 1
 
-#: Only classes whose defining module lives under this package (or is the
-#: stdlib ``random`` module, for RNG state) may be revived by decoding.
+#: Only classes whose defining module lives under this package may be
+#: revived by decoding.
 _TRUSTED_PACKAGE = __name__.split(".")[0]
 
 
@@ -159,12 +156,6 @@ class _Snapshotter:
             }
         if HAS_NUMPY and isinstance(value, np.generic):
             return {"__npscalar__": value.dtype.str, "data": value.tobytes()}
-        if isinstance(value, random.Random):
-            known = self._memo.get(id(value))
-            if known is not None:
-                return {"__ref__": known}
-            node_id = self._remember(value)
-            return {"__random__": node_id, "__state__": self.encode(value.getstate())}
         if _is_library_object(value):
             known = self._memo.get(id(value))
             if known is not None:
@@ -313,20 +304,6 @@ class _Rebuilder:
                     raise SerializationError(
                         "dangling shared-object reference %r" % node["__ref__"]
                     ) from None
-            if "__random__" in node:
-                # Not an entropy draw: the fresh generator's state is
-                # overwritten by the recorded state on the next line.
-                rng = random.Random()  # lint: allow[det-unseeded-rng] state is setstate()d from the payload below
-                self._memo[node["__random__"]] = rng
-                state = self.decode(node["__state__"])
-                # getstate() round-trips through list encoding; setstate
-                # needs the exact (version, tuple, gauss_next) shape back.
-                rng.setstate(
-                    (state[0], tuple(state[1]), state[2])
-                    if isinstance(state, (list, tuple))
-                    else state
-                )
-                return rng
             if "__object__" in node:
                 if not isinstance(node.get("__object__"), str):
                     raise SerializationError("malformed __object__ node")
@@ -342,7 +319,16 @@ class _Rebuilder:
 
     def _apply_state(self, instance: Any, state: Dict[str, Any]) -> None:
         for name, entry in state.items():
-            object.__setattr__(instance, name, self.decode(entry))
+            value = self.decode(entry)
+            try:
+                object.__setattr__(instance, name, value)
+            except AttributeError:
+                # A slotted class cannot hold a field it does not declare
+                # (e.g. a payload written by an older layout of the class).
+                raise SerializationError(
+                    "payload field %r is not a field of %s"
+                    % (name, type(instance).__qualname__)
+                ) from None
 
     def rebuild_into(self, instance: Any, node: Dict[str, Any]) -> None:
         """Restore a top-level object node into an existing instance."""

@@ -151,7 +151,8 @@ class TestRegistry:
 
     # Algorithms whose guarantee at this stream size is only constant-factor
     # (AMS by design; the literal paper-constant KNW configurations have a
-    # large hidden constant at practical eps — see DESIGN.md section 5).
+    # large hidden constant at practical eps — see "Hash-family stand-ins"
+    # in docs/architecture.md).
     CONSTANT_FACTOR_ONLY = {"ams", "knw-paper", "knw-l0-paper"}
 
     def test_every_f0_algorithm_runs(self):

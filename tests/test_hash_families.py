@@ -133,26 +133,26 @@ class TestLazyUniformAndSiegel:
         h = LazyUniformHash(1 << 20, 64, capacity=100, rng=random.Random(3))
         assert h(12345) == h(12345)
 
-    def test_overflow_reported(self):
-        h = LazyUniformHash(1 << 20, 8, capacity=4, rng=random.Random(3))
-        for key in range(10):
-            h(key)
-        assert h.overflowed()
-        assert h.distinct_keys_seen() == 10
+    @pytest.mark.parametrize(
+        "family", [LazyUniformHash, SiegelHash], ids=["uniform", "siegel"]
+    )
+    def test_same_seed_same_function(self, family):
+        kwargs = {"capacity": 8} if family is LazyUniformHash else {}
+        first = family(1 << 20, 256, rng=random.Random(3), **kwargs)
+        second = family(1 << 20, 256, rng=random.Random(3), **kwargs)
+        other = family(1 << 20, 256, rng=random.Random(4), **kwargs)
+        keys = range(0, 1 << 20, 997)
+        assert [first(key) for key in keys] == [second(key) for key in keys]
+        assert [first(key) for key in keys] != [other(key) for key in keys]
 
     def test_space_charged_at_capacity(self):
         h = LazyUniformHash(1 << 20, 64, capacity=50, rng=random.Random(3))
         assert h.space_bits() == 50 * 6
 
-    def test_failure_injection_degrades_to_constant(self):
-        h = LazyUniformHash(1000, 64, capacity=10, rng=random.Random(1), failure_probability=0.999999)
-        assert {h(key) for key in range(20)} == {0}
-
     def test_siegel_defaults(self):
         h = SiegelHash(1 << 18, 256, rng=random.Random(2))
-        assert h.independence >= 4
         assert all(0 <= h(key) < 256 for key in range(100))
-        assert h.space_bits() >= 256
+        assert h.space_bits() == 256
 
 
 class TestRandomOracle:

@@ -5,9 +5,8 @@ wrappers), ``load_state_dict(state_dict())`` and ``from_bytes(to_bytes())``
 must reproduce the sketch *bit-identically*: equal snapshots, equal
 estimates, equal byte encodings — and, the strongest form, identical
 behaviour under **further ingestion**, which requires the revived sketch
-to restore internal aliasing exactly (e.g. the single ``random.Random``
-shared by the three RoughEstimator copies' lazily materialised hash
-functions).
+to restore internal aliasing exactly (e.g. the one ``F0HashBundle``
+shared by KNW's small-F0 and Figure 3 regimes).
 """
 
 from __future__ import annotations
@@ -133,19 +132,17 @@ def test_median_wrapper_round_trips():
     assert revived.estimate() == turnstile.estimate()
 
 
-def test_rough_estimator_round_trip_preserves_shared_rng():
-    """The three copies' lazy h3 draw from ONE shared RNG; reviving must
-    restore that aliasing or continued ingestion diverges."""
+def test_uniform_h3_snapshot_unchanged_by_evaluation():
+    """The Lemma 5 h3 is a pure function of its seed: evaluating it on 10k
+    keys leaves its snapshot (and so every sketch holding it) unchanged."""
     estimator = RoughEstimator(UNIVERSE, seed=31, use_uniform_family=True)
-    estimator.update_batch(_f0_items(1500, seed=33))
-    revived = RoughEstimator.from_bytes(estimator.to_bytes())
-    rngs = {id(copy.h3._rng) for copy in revived._copies}
-    assert len(rngs) == 1, "shared RNG was split into per-copy clones"
-    extra = _f0_items(1500, seed=35)
-    estimator.update_batch(extra)
-    revived.update_batch(extra)
-    assert revived.state_dict() == estimator.state_dict()
-    assert revived.estimate() == estimator.estimate()
+    h3 = estimator._copies[0].h3
+    before = snapshot(h3)
+    keys = _f0_items(10_000, seed=33) % np.uint64(h3.universe_size)
+    h3.hash_batch(keys)
+    for key in keys[:500].tolist():
+        h3(key)
+    assert snapshot(h3) == before
 
 
 def test_fast_rough_estimator_round_trip():
@@ -206,6 +203,31 @@ def test_payload_cannot_name_classes_outside_the_package():
     state["__object__"] = "os:system"
     with pytest.raises(SerializationError):
         loads(dumps(None, state=state))
+
+
+def test_payload_field_outside_slotted_class_fails_closed():
+    """A ``knw`` payload written when the Lemma 5 h3 still kept a memo and
+    an RNG names ``_memo``/``_rng`` fields the class no longer declares;
+    decoding it must raise SerializationError naming the field."""
+    knw = make_f0_estimator("knw", UNIVERSE, 0.1, seed=1)
+    state = snapshot(knw)
+
+    def uniform_nodes(node):
+        if isinstance(node, dict):
+            if str(node.get("__object__", "")).endswith(":LazyUniformHash"):
+                yield node
+            for entry in node.values():
+                yield from uniform_nodes(entry)
+        elif isinstance(node, list):
+            for entry in node:
+                yield from uniform_nodes(entry)
+
+    node = next(uniform_nodes(state))
+    node["__state__"]["_memo"] = {"__map__": [[5, 3]]}
+    with pytest.raises(SerializationError, match="_memo"):
+        loads(dumps(None, state=state))
+    with pytest.raises(SerializationError, match="_memo"):
+        make_f0_estimator("knw", UNIVERSE, 0.1, seed=1).load_state_dict(state)
 
 
 def test_snapshot_rejects_unsupported_state():

@@ -403,6 +403,16 @@ class TestStoreLifecycle:
         reference.update_batch([1, 2, 3, 10, 11])
         assert store.sketch(3).state_dict() == reference.state_dict()
 
+    def test_rough_import_rejects_uniform_family_sketch(self):
+        """The row family stores the Figure 2 (k-wise h3) layout; a Lemma 5
+        sketch hashes with a different h3 and must be refused."""
+        store = _make_store("knw-rough", {})
+        store.update_batch(0, [1, 2, 3])
+        uniform = RoughEstimator(UNIVERSE, seed=SEED, use_uniform_family=True)
+        with pytest.raises(ParameterError):
+            store.load_sketch(0, uniform)
+        store.load_sketch(0, store.sketch(0))  # the row's own layout loads
+
     def test_wrapping_a_non_empty_array_names_its_rows(self):
         array = make_sketch_array("hyperloglog", UNIVERSE, rows=2, eps=0.1, seed=SEED)
         array.update_row_batch(0, [1, 2, 3])

@@ -164,7 +164,7 @@ class TestRollupExactness:
     """Window rollup == fresh sketch fed exactly the window's updates."""
 
     @pytest.mark.parametrize(
-        "name", mergeable_f0_names(shard_deterministic_only=True)
+        "name", mergeable_f0_names()
     )
     def test_f0_bit_identical(self, name, workload):
         ring = _f0_ring(name, retention=6)
@@ -531,12 +531,10 @@ class TestMonitorRollingWindows:
         assert monitor.retained_windows() == 4
         assert len(monitor.reports) == 3
         # the 3-closed-window rollup must equal one mergeable sketch fed
-        # all three windows' flow ids (the rings are shard-deterministic)
+        # all three windows' flow ids (window rollups are bit-identical)
         from repro.core.knw import KNWDistinctCounter
 
-        reference = KNWDistinctCounter(
-            UNIVERSE, eps=0.1, seed=7, rough_uniform_family=False
-        )
+        reference = KNWDistinctCounter(UNIVERSE, eps=0.1, seed=7)
         for record in records:
             reference.update(record.flow_id(UNIVERSE))
         assert monitor.distinct_flows_last(4) == reference.estimate()
